@@ -6,77 +6,15 @@
 //! experiments:
 //!   table2 table3 table4 table5 table6 table7 table8 table9 table10 table11
 //!   fig12 fig13 fig14 fig15 all
-//!   backend            (repo perf trajectory: serial vs host-parallel join
-//!                       execution; writes BENCH_PR2.json)
-//!   update-churn       (repo perf trajectory: interleaved mutations +
-//!                       queries, incremental re-prepare vs full rebuild;
-//!                       writes BENCH_PR3.json)
-//!   batch              (repo perf trajectory: inter-query batched execution
-//!                       with shared candidate filtering vs per-query serial
-//!                       runs at 8/16/32 concurrent queries, equivalence-
-//!                       gated; writes BENCH_PR4.json)
-//!   optimize           (repo perf trajectory: cost-based join ordering vs
-//!                       the greedy heuristic on a skewed-label workload,
-//!                       equivalence-gated on deterministic device counters;
-//!                       writes BENCH_PR5.json)
-//!   observe            (repo perf trajectory: per-query tracing overhead —
-//!                       baseline vs TraceConfig::Off vs TraceConfig::On on
-//!                       the PR 2 and PR 5 join workloads, equivalence-gated
-//!                       on match tables and device counters, plus a traced
-//!                       service-layer pass over the metrics exporters and
-//!                       flight recorder; writes BENCH_PR6.json)
-//!   setops             (repo perf trajectory: vectorized set-op kernels vs
-//!                       the scalar reference — bit-identical outputs and
-//!                       device counters, Melem/s throughput, wall speedup
-//!                       gated — plus the radix-hash join strategy vs
-//!                       Prealloc-Combine / two-step on a high-multiplicity
-//!                       workload, equivalence-gated with a deterministic
-//!                       GLD-cut bar; writes BENCH_PR7.json)
-//!   adapt              (repo perf trajectory: adaptive mid-query re-planning
-//!                       vs replayed stale cost-based plans on a
-//!                       correlated-label workload under concept drift,
-//!                       equivalence-gated on canonical match tables and
-//!                       deterministic device counters; writes BENCH_PR8.json)
-//!   serve              (repo perf trajectory: network serving over the wire
-//!                       protocol — closed-loop and open-loop fixed-rate load
-//!                       with mixed tenants and update churn, p50/p99/p999,
-//!                       saturation knee, equivalence-gated against
-//!                       in-process query_blocking; writes BENCH_PR10.json)
 //!
 //! options:
 //!   --scale <f64>      multiplier on the default dataset scales (default 1.0)
 //!   --queries <n>      queries per configuration (default 5; the paper uses 100)
 //!   --query-size <n>   |V(Q)| (default 12, the paper's default)
 //!   --seed <n>         RNG seed (default 42)
-//!   --timeout <ms>     per-query timeout for GPU engines (default 100000)
+//!   --timeout <ms>     per-query timeout for GPU engines (default 30000; the
+//!                      paper uses 100000)
 //!   --cpu-timeout <ms> per-query timeout for CPU baselines (default 10000)
-//!   --threads <n>      host-parallel backend workers (backend only, default 4)
-//!   --latency <ns>     modeled memory latency per streamed element
-//!                      (backend only, default 100)
-//!   --rounds <n>       mutation rounds (update-churn only, default 8)
-//!   --batch <n>        ops per mutation batch (update-churn only, default 32)
-//!   --pool <n>         recurring-pattern pool size (batch only, default 4)
-//!   --min-speedup <f>  required wall-clock speedup: shared filtering at 16
-//!                      concurrent queries (batch, default 1.3), costed
-//!                      join orders (optimize, default 1.5), vectorized
-//!                      set-op kernels (setops, default 1.5), or adaptive
-//!                      re-planning (adapt, default 1.3); 0 disables
-//!   --min-work-ratio <f> required deterministic join-work ratio: greedy
-//!                      over costed (optimize, default 1.5) or stale-static
-//!                      over adaptive (adapt)
-//!   --max-overhead <f> allowed enabled-tracing join-wall overhead as a
-//!                      fraction (observe only, default 0.05); 0 keeps only
-//!                      the deterministic counter-equality gates
-//!   --clients <n>      concurrent load-generator clients (serve only,
-//!                      default 4)
-//!   --min-throughput <f> required closed-loop throughput in queries/s
-//!                      (serve only, default 10; 0 disables — the latency
-//!                      percentiles and knee stay informational)
-//!   --out <path>       report path (backend: BENCH_PR2.json,
-//!                      update-churn: BENCH_PR3.json, batch: BENCH_PR4.json,
-//!                      optimize: BENCH_PR5.json, observe: BENCH_PR6.json,
-//!                      setops: BENCH_PR7.json, adapt: BENCH_PR8.json,
-//!                      serve: BENCH_PR10.json)
 //! ```
 
 use gsi_bench::experiments;
@@ -84,12 +22,9 @@ use gsi_bench::workloads::HarnessOpts;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: paper <table2..table11|fig12..fig15|backend|update-churn|batch|optimize|observe|setops|adapt|serve|all> \
+        "usage: paper <table2..table11|fig12..fig15|all> \
          [--scale F] [--queries N] [--query-size N] [--seed N] \
-         [--timeout MS] [--cpu-timeout MS] [--threads N] [--latency NS] \
-         [--rounds N] [--batch N] [--pool N] [--min-speedup F] \
-         [--min-work-ratio F] [--max-overhead F] [--clients N] \
-         [--min-throughput F] [--out PATH]"
+         [--timeout MS] [--cpu-timeout MS]"
     );
     std::process::exit(2);
 }
@@ -99,20 +34,25 @@ fn main() {
     if args.is_empty() {
         usage();
     }
-    let exp = args[0].clone();
+    let run: fn(&HarnessOpts) = match args[0].as_str() {
+        "table2" => experiments::table2,
+        "table3" => experiments::table3,
+        "table4" => experiments::table4,
+        "table5" => experiments::table5,
+        "table6" => experiments::table6,
+        "table7" => experiments::table7,
+        "table8" => experiments::table8,
+        "table9" => experiments::table9,
+        "table10" => experiments::table10,
+        "table11" => experiments::table11,
+        "fig12" => experiments::fig12,
+        "fig13" => experiments::fig13,
+        "fig14" => experiments::fig14,
+        "fig15" => experiments::fig15,
+        "all" => experiments::all,
+        _ => usage(),
+    };
     let mut opts = HarnessOpts::default();
-    let mut threads = 4usize;
-    let mut latency_ns = 100u64;
-    let mut rounds = 8usize;
-    let mut batch = 32usize;
-    let mut pool = 4usize;
-    let mut min_speedup: Option<f64> = None;
-    let mut min_work_ratio = 1.5f64;
-    let mut max_overhead = 0.05f64;
-    let mut clients = 4usize;
-    let mut min_throughput = 10.0f64;
-    let mut out_path: Option<String> = None;
-
     let mut i = 1;
     while i < args.len() {
         let flag = args[i].as_str();
@@ -124,17 +64,6 @@ fn main() {
             "--seed" => opts.seed = val.parse().unwrap_or_else(|_| usage()),
             "--timeout" => opts.timeout_ms = val.parse().unwrap_or_else(|_| usage()),
             "--cpu-timeout" => opts.cpu_timeout_ms = val.parse().unwrap_or_else(|_| usage()),
-            "--threads" => threads = val.parse().unwrap_or_else(|_| usage()),
-            "--latency" => latency_ns = val.parse().unwrap_or_else(|_| usage()),
-            "--rounds" => rounds = val.parse().unwrap_or_else(|_| usage()),
-            "--batch" => batch = val.parse().unwrap_or_else(|_| usage()),
-            "--pool" => pool = val.parse().unwrap_or_else(|_| usage()),
-            "--min-speedup" => min_speedup = Some(val.parse().unwrap_or_else(|_| usage())),
-            "--min-work-ratio" => min_work_ratio = val.parse().unwrap_or_else(|_| usage()),
-            "--max-overhead" => max_overhead = val.parse().unwrap_or_else(|_| usage()),
-            "--clients" => clients = val.parse().unwrap_or_else(|_| usage()),
-            "--min-throughput" => min_throughput = val.parse().unwrap_or_else(|_| usage()),
-            "--out" => out_path = Some(val.clone()),
             _ => usage(),
         }
         i += 2;
@@ -145,68 +74,5 @@ fn main() {
         opts.scale, opts.queries, opts.query_size, opts.seed
     );
 
-    match exp.as_str() {
-        "table2" => experiments::table2(&opts),
-        "table3" => experiments::table3(&opts),
-        "table4" => experiments::table4(&opts),
-        "table5" => experiments::table5(&opts),
-        "table6" => experiments::table6(&opts),
-        "table7" => experiments::table7(&opts),
-        "table8" => experiments::table8(&opts),
-        "table9" => experiments::table9(&opts),
-        "table10" => experiments::table10(&opts),
-        "table11" => experiments::table11(&opts),
-        "fig12" => experiments::fig12(&opts),
-        "fig13" => experiments::fig13(&opts),
-        "fig14" => experiments::fig14(&opts),
-        "fig15" => experiments::fig15(&opts),
-        "backend" => experiments::backend(
-            &opts,
-            threads,
-            latency_ns,
-            out_path.as_deref().unwrap_or("BENCH_PR2.json"),
-        ),
-        "update-churn" => experiments::update_churn(
-            &opts,
-            rounds,
-            batch,
-            out_path.as_deref().unwrap_or("BENCH_PR3.json"),
-        ),
-        "batch" => experiments::batch_queries(
-            &opts,
-            pool,
-            min_speedup.unwrap_or(1.3),
-            out_path.as_deref().unwrap_or("BENCH_PR4.json"),
-        ),
-        "optimize" => experiments::optimize(
-            &opts,
-            min_speedup.unwrap_or(1.5),
-            min_work_ratio,
-            out_path.as_deref().unwrap_or("BENCH_PR5.json"),
-        ),
-        "observe" => experiments::observe(
-            &opts,
-            max_overhead,
-            out_path.as_deref().unwrap_or("BENCH_PR6.json"),
-        ),
-        "setops" => experiments::setops(
-            &opts,
-            min_speedup.unwrap_or(1.5),
-            out_path.as_deref().unwrap_or("BENCH_PR7.json"),
-        ),
-        "adapt" => experiments::adapt(
-            &opts,
-            min_speedup.unwrap_or(1.3),
-            min_work_ratio,
-            out_path.as_deref().unwrap_or("BENCH_PR8.json"),
-        ),
-        "serve" => gsi_bench::serve::serve(
-            &opts,
-            clients,
-            min_throughput,
-            out_path.as_deref().unwrap_or("BENCH_PR10.json"),
-        ),
-        "all" => experiments::all(&opts),
-        _ => usage(),
-    }
+    run(&opts);
 }

@@ -14,7 +14,5 @@
 
 pub mod experiments;
 pub mod fmt;
-pub mod report;
 pub mod runner;
-pub mod serve;
 pub mod workloads;

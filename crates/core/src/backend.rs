@@ -32,11 +32,7 @@
 //! elements vs. the critical path of the schedule (the busiest worker's
 //! share, summed over launches). `work / span` is the parallel speedup the
 //! schedule admits independent of host core count, the quantity §VI-A's
-//! load balancing maximizes. When the device models memory latency
-//! ([`gsi_gpu_sim::DeviceConfig::stream_latency_ns`]), each worker sleeps
-//! its share of the latency — concurrent workers overlap those sleeps the
-//! way real SMs hide memory latency, so the speedup is also visible in
-//! wall-clock time.
+//! load balancing maximizes.
 
 use crate::config::BackendKind;
 use crate::load_balance::{ChunkTask, KernelPlan};
@@ -44,7 +40,6 @@ use crate::table::{TableShard, TableShards};
 use gsi_gpu_sim::kernel::{launch_blocks_stateful, BlockCtx};
 use gsi_gpu_sim::Gpu;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// The kernel body a strategy hands to a backend: called once per block
 /// with the block's warp tasks and the executing worker's private shard.
@@ -72,23 +67,6 @@ struct WorkerCtx {
     shard: TableShard,
     /// Streamed elements this worker executed in this launch.
     units: u64,
-    /// Unslept simulated-latency debt, in nanoseconds.
-    debt_ns: u64,
-}
-
-/// Sleep granularity for the latency model: debts below this accumulate
-/// (OS sleeps under ~100 µs are dominated by timer slack).
-const LATENCY_FLUSH_NS: u64 = 200_000;
-
-fn throttle(ctx: &mut WorkerCtx, block_units: u64, latency_ns: u64) {
-    if latency_ns == 0 {
-        return;
-    }
-    ctx.debt_ns += block_units * latency_ns;
-    if ctx.debt_ns >= LATENCY_FLUSH_NS {
-        std::thread::sleep(Duration::from_nanos(ctx.debt_ns));
-        ctx.debt_ns = 0;
-    }
 }
 
 /// Run `plan` on `workers` host threads; returns the shards plus
@@ -99,12 +77,10 @@ fn execute(
     workers: usize,
     body: &BlockBody<'_>,
 ) -> (TableShards, u64, u64) {
-    let latency_ns = gpu.config().stream_latency_ns;
     let states: Vec<WorkerCtx> = (0..workers.max(1))
         .map(|_| WorkerCtx {
             shard: TableShard::default(),
             units: 0,
-            debt_ns: 0,
         })
         .collect();
     let states = launch_blocks_stateful(
@@ -116,19 +92,8 @@ fn execute(
             let block_units: u64 = block.iter().map(|t| t.range.len() as u64).sum();
             body(bctx, block, &mut ctx.shard);
             ctx.units += block_units;
-            throttle(ctx, block_units, latency_ns);
         },
     );
-    // Leftover latency debt: each worker owes < LATENCY_FLUSH_NS; concurrent
-    // workers would overlap, so one sleep of the maximum is the faithful
-    // residual.
-    if latency_ns > 0 {
-        if let Some(max_debt) = states.iter().map(|s| s.debt_ns).max() {
-            if max_debt > 0 {
-                std::thread::sleep(Duration::from_nanos(max_debt));
-            }
-        }
-    }
     let work: u64 = states.iter().map(|s| s.units).sum();
     let span: u64 = states.iter().map(|s| s.units).max().unwrap_or(0);
     let shards = TableShards::from_shards(states.into_iter().map(|s| s.shard).collect());
@@ -313,18 +278,6 @@ mod tests {
     fn parallel_with_zero_threads_resolves_to_available() {
         let b = HostParallelBackend::new(0);
         assert!(b.threads() >= 1);
-    }
-
-    #[test]
-    fn latency_model_sleeps_proportionally() {
-        let mut cfg = DeviceConfig::test_device();
-        cfg.stream_latency_ns = 1_000; // 1 µs per element
-        let g = Gpu::new(cfg);
-        let p = plan(&[500usize; 8], 8); // 4000 elements → 4 ms
-        let serial = SerialBackend::default();
-        let t = std::time::Instant::now();
-        serial.run_kernel(&g, &p, &emit_body);
-        assert!(t.elapsed() >= Duration::from_millis(3));
     }
 
     #[test]

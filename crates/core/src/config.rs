@@ -25,8 +25,11 @@ pub enum JoinScheme {
 /// Which implementation of the set-operation primitives runs on the host.
 ///
 /// Both charge **bit-identical** device-ledger transactions — the simulated
-/// kernels are the same; this knob only selects how the host computes their
-/// results (element-at-a-time reference vs chunked branch-light kernels).
+/// kernels are the same; the choice only decides how the host computes
+/// their results (element-at-a-time reference vs chunked branch-light
+/// kernels). The engine always runs [`SetOpKernels::Vectorized`]; the scalar
+/// arm is selected per [`crate::set_ops::SetOpExec`] by the differential
+/// tests that compare the two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SetOpKernels {
     /// The scalar reference: branchy element-at-a-time loops. Kept for
@@ -128,9 +131,6 @@ pub struct GsiConfig {
     pub join_scheme: JoinScheme,
     /// Set-operation strategy.
     pub set_ops: SetOpStrategy,
-    /// Host kernel implementation for the set-op primitives (identical
-    /// device accounting; see [`SetOpKernels`]).
-    pub set_op_kernels: SetOpKernels,
     /// 128-byte per-warp write cache for join outputs (§V).
     pub write_cache: bool,
     /// 4-layer load balance; `None` uses the flat one-warp-per-row schedule.
@@ -192,7 +192,6 @@ impl GsiConfig {
             storage_gpn: gsi_graph::pcsr::DEFAULT_GPN,
             join_scheme: JoinScheme::TwoStep,
             set_ops: SetOpStrategy::Naive,
-            set_op_kernels: SetOpKernels::Vectorized,
             write_cache: false,
             load_balance: None,
             duplicate_removal: false,
@@ -214,15 +213,6 @@ impl GsiConfig {
     pub fn with_join_scheme(self, join_scheme: JoinScheme) -> Self {
         Self {
             join_scheme,
-            ..self
-        }
-    }
-
-    /// This configuration with the scalar-reference set-op kernels (the
-    /// differential-testing arm).
-    pub fn with_set_op_kernels(self, set_op_kernels: SetOpKernels) -> Self {
-        Self {
-            set_op_kernels,
             ..self
         }
     }
@@ -371,23 +361,18 @@ mod tests {
 
     #[test]
     fn kernel_and_radix_knobs_default_conservatively() {
-        // Vectorized kernels are the default everywhere (charges are
-        // identical by contract); radix auto-selection is opt-in.
+        // Radix auto-selection and adaptive re-planning are opt-in.
         for cfg in [
             GsiConfig::gsi_base(),
             GsiConfig::gsi(),
             GsiConfig::gsi_opt(),
         ] {
-            assert_eq!(cfg.set_op_kernels, SetOpKernels::Vectorized);
             assert_eq!(cfg.radix_join_threshold, None);
             assert_eq!(cfg.replan_qerror_threshold, None);
         }
         let adaptive = GsiConfig::gsi_opt().with_replan_qerror_threshold(Some(4.0));
         assert_eq!(adaptive.replan_qerror_threshold, Some(4.0));
         assert!(adaptive.duplicate_removal, "other knobs untouched");
-        let scalar = GsiConfig::gsi_opt().with_set_op_kernels(SetOpKernels::Scalar);
-        assert_eq!(scalar.set_op_kernels, SetOpKernels::Scalar);
-        assert!(scalar.duplicate_removal, "other knobs untouched");
         let radix = GsiConfig::gsi_opt().with_join_scheme(JoinScheme::RadixHash);
         assert_eq!(radix.join_scheme, JoinScheme::RadixHash);
         radix.validate();

@@ -1218,13 +1218,17 @@ mod tests {
         // 2× the edge query, plus one degenerate pattern mid-batch.
         let empty = GraphBuilder::new().build();
         let patterns: Vec<&Graph> = vec![&query, &edge, &query, &empty, &edge, &query];
+        let snap0 = engine.gpu().stats().snapshot();
         let solo: Vec<Result<QueryOutput, PlanError>> = patterns
             .iter()
             .map(|q| engine.query(&data, &prepared, q))
             .collect();
+        let snap1 = engine.gpu().stats().snapshot();
 
         let items: Vec<BatchItem<'_>> = patterns.iter().map(|q| BatchItem::new(q)).collect();
         let batch = engine.query_batch(&data, &prepared, &items);
+        let solo_gld = (snap1 - snap0).gld_transactions;
+        let batch_gld = (engine.gpu().stats().snapshot() - snap1).gld_transactions;
 
         assert_eq!(batch.results.len(), solo.len());
         for (i, (b, s)) in batch.results.iter().zip(&solo).enumerate() {
@@ -1251,6 +1255,11 @@ mod tests {
             "every query vertex resolves through the shared cache"
         );
         assert!(batch.filter_reuse_rate() > 0.5, "repetition-heavy batch");
+        // A reused demand skips its filter pass, so the batch reads less.
+        assert!(
+            batch_gld < solo_gld,
+            "reused filter demands must cut GLD (batch {batch_gld} vs solo {solo_gld})"
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! they differ only in where buffers live and how often passes run.
 
 use crate::backend::ExecBackend;
-use crate::config::{GsiConfig, SetOpStrategy};
+use crate::config::{GsiConfig, SetOpKernels, SetOpStrategy};
 use crate::dedup::block_input_owners;
 use crate::load_balance::{plan_kernels, ChunkTask};
 use crate::set_ops::{CandidateProbe, SetOpExec};
@@ -36,11 +36,11 @@ pub struct JoinCtx<'a> {
 }
 
 impl JoinCtx<'_> {
-    fn exec(&self) -> SetOpExec {
+    pub(crate) fn exec(&self) -> SetOpExec {
         SetOpExec {
             strategy: self.cfg.set_ops,
             write_cache: self.cfg.write_cache,
-            kernels: self.cfg.set_op_kernels,
+            kernels: SetOpKernels::Vectorized,
         }
     }
 

@@ -200,11 +200,7 @@ impl JoinStrategy for RadixHashJoin {
     ) -> Result<MatchTable, JoinOverflow> {
         let IterationSetup { edges, probe } = IterationSetup::build(ctx, step, cand);
         let (col0, l0) = edges[0];
-        let exec = SetOpExec {
-            strategy: ctx.cfg.set_ops,
-            write_cache: ctx.cfg.write_cache,
-            kernels: ctx.cfg.set_op_kernels,
-        };
+        let exec = ctx.exec();
 
         // Same GBA bound and allocation accounting as Prealloc-Combine.
         let counts = count_pass(ctx, m, col0, l0);

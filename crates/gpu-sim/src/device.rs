@@ -33,15 +33,6 @@ pub struct DeviceConfig {
     /// Host worker threads that play the role of SMs when executing blocks.
     /// `0` means "use all available parallelism".
     pub worker_threads: usize,
-    /// Emulated global-memory latency, in nanoseconds per streamed element.
-    ///
-    /// `0` (the default) disables latency modeling: kernels cost only the
-    /// host compute that simulates them. When set, execution backends charge
-    /// each block's streamed workload as *sleep* time on the worker that ran
-    /// it — sleeping workers overlap exactly like real SMs hide memory
-    /// latency, so intra-query parallelism shows up as genuine wall-clock
-    /// speedup even on a host with fewer cores than workers.
-    pub stream_latency_ns: u64,
 }
 
 impl DeviceConfig {
@@ -57,7 +48,6 @@ impl DeviceConfig {
             global_mem_bytes: 12 * 1024 * 1024 * 1024,
             kernel_launch_overhead_ns: 1_500,
             worker_threads: 0,
-            stream_latency_ns: 0,
         }
     }
 

@@ -82,8 +82,8 @@ pub mod prelude {
     pub use gsi_core::{
         BackendKind, BatchItem, BatchOutput, ExplainPlan, FilterCache, FilterStrategy, GraphOp,
         GraphStats, GsiConfig, GsiEngine, JoinPlan, JoinScheme, LbParams, Matches, PlanError,
-        PlannerKind, QueryOptions, QueryOutput, RunStats, SetOpKernels, SetOpStrategy, TraceConfig,
-        UpdateBatch, UpdateError, UpdateReport,
+        PlannerKind, QueryOptions, QueryOutput, RunStats, SetOpStrategy, TraceConfig, UpdateBatch,
+        UpdateError, UpdateReport,
     };
     pub use gsi_datasets::{DatasetKind, DatasetSpec};
     pub use gsi_gpu_sim::{DeviceConfig, Gpu};

@@ -23,8 +23,8 @@
 //!   `GsiService::export_metrics` (Prometheus text or JSON); `Health`
 //!   reports accept/drain state.
 //!
-//! [`GsiClient`] is the matching blocking client; `crates/bench`'s
-//! `paper serve` harness drives it under closed- and open-loop load.
+//! [`GsiClient`] is the matching blocking client; the `perfbench`
+//! benchmark drives it under closed- and open-loop load.
 
 pub mod client;
 pub mod frame;

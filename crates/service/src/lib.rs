@@ -324,16 +324,6 @@ impl GsiService {
         reg
     }
 
-    /// Deprecated alias for [`GsiService::register`] that drops the
-    /// displaced entry from the return value.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `register`, which returns the full `Registration { entry, displaced }`"
-    )]
-    pub fn register_graph(&self, name: &str, graph: Graph) -> Arc<CatalogEntry> {
-        self.register(name, graph).entry
-    }
-
     /// Apply a mutation batch to a registered graph and publish the result
     /// as the graph's next epoch (see [`GraphCatalog::update`]).
     ///
